@@ -1,5 +1,6 @@
 //! Algorithm configuration: the palette/list trade-off knobs of the paper.
 
+use crate::listcolor::SchemeKind;
 use serde::{Deserialize, Serialize};
 
 /// Which implementation builds the per-iteration conflict graph.
@@ -55,12 +56,6 @@ pub enum ListColoringScheme {
     /// ([`crate::listcolor::speculative_list_color_into`]). Deterministic
     /// per seed, bit-identical across thread counts.
     Speculative,
-    /// Per-iteration calibrated choice between greedy / JP / speculative
-    /// ([`crate::listcolor::ColorCalibrator`]). Every candidate kernel is
-    /// individually deterministic, but the *choice* is fed by wall-clock
-    /// timings, so the end-to-end coloring may vary run to run — opt in
-    /// where throughput matters more than replay determinism.
-    Auto,
 }
 
 impl ListColoringScheme {
@@ -71,7 +66,6 @@ impl ListColoringScheme {
             "greedy" | "dynamic" => ListColoringScheme::DynamicGreedy,
             "jp" | "jones-plassmann" => ListColoringScheme::JonesPlassmann,
             "spec" | "speculative" => ListColoringScheme::Speculative,
-            "auto" => ListColoringScheme::Auto,
             "natural" => ListColoringScheme::Static(H::Natural),
             "random" => ListColoringScheme::Static(H::Random),
             "lf" => ListColoringScheme::Static(H::LargestFirst),
@@ -80,8 +74,8 @@ impl ListColoringScheme {
             "id" => ListColoringScheme::Static(H::IncidenceDegree),
             other => {
                 return Err(format!(
-                    "unknown coloring scheme '{other}' (expected greedy, jp, spec, auto, \
-                     natural, random, lf, sl, dlf, or id)"
+                    "unknown coloring scheme '{other}' (expected greedy, jp, spec, natural, \
+                     random, lf, sl, dlf, or id)"
                 ))
             }
         })
@@ -94,13 +88,22 @@ impl ListColoringScheme {
             ListColoringScheme::DynamicGreedy => "greedy",
             ListColoringScheme::JonesPlassmann => "jp",
             ListColoringScheme::Speculative => "spec",
-            ListColoringScheme::Auto => "auto",
             ListColoringScheme::Static(H::Natural) => "natural",
             ListColoringScheme::Static(H::Random) => "random",
             ListColoringScheme::Static(H::LargestFirst) => "lf",
             ListColoringScheme::Static(H::SmallestLast) => "sl",
             ListColoringScheme::Static(H::DynamicLargestFirst) => "dlf",
             ListColoringScheme::Static(H::IncidenceDegree) => "id",
+        }
+    }
+
+    /// The Line-8/9 kernel this scheme runs on every iteration.
+    pub fn kind(&self) -> SchemeKind {
+        match self {
+            ListColoringScheme::DynamicGreedy => SchemeKind::Greedy,
+            ListColoringScheme::Static(_) => SchemeKind::Static,
+            ListColoringScheme::JonesPlassmann => SchemeKind::JonesPlassmann,
+            ListColoringScheme::Speculative => SchemeKind::Speculative,
         }
     }
 }
@@ -272,7 +275,7 @@ mod tests {
     #[test]
     fn scheme_labels_round_trip() {
         for label in [
-            "greedy", "jp", "spec", "auto", "natural", "random", "lf", "sl", "dlf", "id",
+            "greedy", "jp", "spec", "natural", "random", "lf", "sl", "dlf", "id",
         ] {
             let scheme = ListColoringScheme::from_label(label).expect(label);
             assert_eq!(scheme.label(), label);
@@ -286,6 +289,7 @@ mod tests {
             Ok(ListColoringScheme::JonesPlassmann)
         );
         assert!(ListColoringScheme::from_label("bogus").is_err());
+        assert!(ListColoringScheme::from_label("auto").is_err());
     }
 
     #[test]

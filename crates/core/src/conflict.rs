@@ -80,8 +80,7 @@ pub struct ConflictBuild {
     pub packed_lanes: u64,
     /// Hit-mask word counters of the packed consumers (zero on scalar
     /// builds): total words scanned, zero words skipped whole, and set
-    /// bits walked — the lane-occupancy signal behind the
-    /// [`PackCalibrator`](crate::PackCalibrator)'s density estimate.
+    /// bits walked — the lane-occupancy signal of the packed kernel.
     pub scan_stats: MaskScanStats,
     /// For the device backend: whether the CSR was assembled on-device
     /// (`Some(true)`), on the host after an edge-list download
@@ -292,9 +291,9 @@ pub fn build_sequential_allpairs<O: EdgeOracle>(
 /// high-water mark (during the first build) the parallel path allocates
 /// **no staging buffers per task** — the per-thread extension of the
 /// context's zero-allocation property. Blocks merge into the context's
-/// COO arena under a lock; the merge is sorted before CSR assembly, so
-/// the output is bit-identical to the sequential build under any
-/// scheduling.
+/// COO arena under a lock in scheduling order; CSR assembly sorts every
+/// adjacency slice, so the output is bit-identical to the sequential
+/// build under any scheduling.
 pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> ConflictBuild {
     let (engine, packed, scratch) = ctx.engine_packed_scratch_par(oracle);
     let m = engine.num_vertices();
@@ -348,7 +347,6 @@ pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> 
         pool.put(arena);
     });
     *edges = merged.into_inner().unwrap();
-    edges.sort_unstable();
     drop(scan_span);
     let num_edges = edges.len();
     let candidate_pairs = engine.candidate_pairs();
@@ -601,7 +599,6 @@ pub fn build_device<O: EdgeOracle>(
                 // Paranoia: if the CSR reservation races out of budget,
                 // fall back to the host path.
                 dev.note_d2h(used_slots * std::mem::size_of::<u32>());
-                edges.sort_unstable();
                 return Ok(ConflictBuild {
                     graph: csr_from_coo_sequential_in(m, edges, csr),
                     num_edges,
@@ -614,7 +611,6 @@ pub fn build_device<O: EdgeOracle>(
         }
     } else {
         dev.note_d2h(used_slots * std::mem::size_of::<u32>());
-        edges.sort_unstable();
         csr_from_coo_sequential_in(m, edges, csr)
     };
 
@@ -831,8 +827,8 @@ pub fn build_multi_device<O: EdgeOracle>(
         edges.extend(coo[..used].chunks_exact(2).map(|p| (p[0], p[1])));
     }
 
-    // Sorting makes the merge order-independent before CSR assembly.
-    edges.sort_unstable();
+    // CSR assembly sorts every adjacency slice, so the merge order
+    // (device order, then each device's kernel order) does not matter.
     let num_edges = edges.len();
     Ok(ConflictBuild {
         graph: csr_from_coo_parallel_in(m, edges, csr),
@@ -949,7 +945,6 @@ pub fn build_multi_device_rowsharded<O: EdgeOracle>(
     for shard in shard_edges {
         edges.extend(shard?);
     }
-    edges.sort_unstable();
     let num_edges = edges.len();
     let m64 = m as u64;
     Ok(ConflictBuild {

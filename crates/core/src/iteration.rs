@@ -29,9 +29,8 @@
 
 use crate::assign::{BucketIndex, BucketLoad, ColorLists};
 use crate::candidates::CandidateEngine;
-use crate::config::ListColoringScheme;
-use crate::listcolor::{ColorCalibrator, ColorScratch, ColoringVerdict, SchemeKind};
-use crate::packed::{PackCalibrator, PackedBuckets, PackingMode, PackingVerdict};
+use crate::listcolor::ColorScratch;
+use crate::packed::{PackedBuckets, PackingMode};
 use device::FaultPlan;
 use graph::{CsrArena, CsrGraph, EdgeOracle};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -175,18 +174,6 @@ pub struct IterationContext {
     /// by every backend of the round, mirrored by the solver into
     /// [`PicassoResult::pack_builds`](crate::PicassoResult::pack_builds).
     pack_builds: usize,
-    /// The measured scalar-vs-packed crossover model behind
-    /// [`PackingMode::Auto`] (see [`PackCalibrator`]). Fed by the solver
-    /// via [`IterationContext::record_packing`] after each conflict
-    /// build; consulted by the single decision helper shared by
-    /// [`IterationContext::ensure_packed`] and the forecast twin
-    /// [`IterationContext::will_pack`].
-    calibrator: PackCalibrator,
-    /// The measured greedy-vs-JP-vs-speculative crossover model behind
-    /// [`ListColoringScheme::Auto`] (see [`ColorCalibrator`]). Fed by
-    /// the solver via [`IterationContext::record_coloring`] after each
-    /// Line-8/9 run.
-    color_calibrator: ColorCalibrator,
     scratch: IterationScratch,
     /// Cooperative cancellation point for the solver: when set, the
     /// iteration loop checks it between phases and aborts with
@@ -223,8 +210,6 @@ impl IterationContext {
             packed_active: false,
             packing: PackingMode::Auto,
             pack_builds: 0,
-            calibrator: PackCalibrator::new(),
-            color_calibrator: ColorCalibrator::default(),
             scratch: IterationScratch::default(),
             deadline: None,
             fault_plan: None,
@@ -233,7 +218,7 @@ impl IterationContext {
 
     /// Arms (or clears) the solver's cooperative deadline. Callers that
     /// reuse one context across jobs must set it before **every** solve
-    /// — it persists until replaced, like the calibrators.
+    /// — it persists until replaced.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
     }
@@ -325,122 +310,6 @@ impl IterationContext {
         self.packing
     }
 
-    /// The calibrated crossover model behind [`PackingMode::Auto`].
-    pub fn calibrator(&self) -> &PackCalibrator {
-        &self.calibrator
-    }
-
-    /// Feeds one finished conflict build back into the calibrator: the
-    /// measured build time becomes a scalar- or packed-rate observation
-    /// (whichever path ran), and the post-observation decision is
-    /// compared against the path that was actually chosen — a mismatch
-    /// is a *mispredict*, the quantity the `Auto` crossover is tuned to
-    /// minimize. The solver calls this once per iteration, right after
-    /// the conflict build; `packed_words` is the oracle's packed word
-    /// width (`None` = no packed form). Degenerate builds (zero
-    /// candidate pairs) carry no signal and are skipped.
-    pub fn record_packing(
-        &mut self,
-        build: &crate::conflict::ConflictBuild,
-        secs: f64,
-        packed_words: Option<usize>,
-    ) -> PackingVerdict {
-        if build.candidate_pairs == 0 {
-            return PackingVerdict::default();
-        }
-        let chosen = build.packed_lanes > 0;
-        if let Some(words) = packed_words {
-            if self.bucketed {
-                if chosen {
-                    self.calibrator.observe_packed(
-                        build.candidate_pairs,
-                        build.scan_stats.hit_bits,
-                        words,
-                        secs,
-                    );
-                } else {
-                    self.calibrator.observe_scalar(
-                        build.candidate_pairs,
-                        build.num_edges as u64,
-                        words,
-                        secs,
-                    );
-                }
-            }
-        }
-        let predicted = self.packing_decision(packed_words);
-        let mispredicted = chosen != predicted;
-        self.calibrator.note_outcome(mispredicted);
-        PackingVerdict {
-            chosen,
-            predicted,
-            mispredicted,
-        }
-    }
-
-    /// The calibrated crossover model behind
-    /// [`ListColoringScheme::Auto`].
-    pub fn color_calibrator(&self) -> &ColorCalibrator {
-        &self.color_calibrator
-    }
-
-    /// Resolves the configured coloring scheme to the kernel that should
-    /// run on this iteration's conflict instance. Fixed schemes map
-    /// directly; `Auto` consults the [`ColorCalibrator`] with the
-    /// instance shape (`|Vc|`, `|Ec|`, list size).
-    pub fn choose_scheme(
-        &self,
-        scheme: ListColoringScheme,
-        vertices: usize,
-        edges: usize,
-        list_size: usize,
-    ) -> SchemeKind {
-        match scheme {
-            ListColoringScheme::DynamicGreedy => SchemeKind::Greedy,
-            ListColoringScheme::Static(_) => SchemeKind::Static,
-            ListColoringScheme::JonesPlassmann => SchemeKind::JonesPlassmann,
-            ListColoringScheme::Speculative => SchemeKind::Speculative,
-            ListColoringScheme::Auto => self.color_calibrator.choose(vertices, edges, list_size),
-        }
-    }
-
-    /// Feeds one finished Line-8/9 run back into the color calibrator
-    /// (mirror of [`IterationContext::record_packing`]): the measured
-    /// coloring time becomes a rate observation for the kernel that ran,
-    /// and the post-observation choice is compared against it — a
-    /// mismatch is a *mispredict*, surfaced per iteration as
-    /// [`IterationStats::scheme_mispredicted`]. Static runs are
-    /// operator-forced and never graded; empty instances carry no
-    /// signal and are skipped.
-    ///
-    /// [`IterationStats::scheme_mispredicted`]: crate::solver::IterationStats::scheme_mispredicted
-    pub fn record_coloring(
-        &mut self,
-        kind: SchemeKind,
-        vertices: usize,
-        edges: usize,
-        list_size: usize,
-        secs: f64,
-    ) -> ColoringVerdict {
-        if vertices == 0 || kind == SchemeKind::Static {
-            return ColoringVerdict {
-                chosen: kind,
-                predicted: kind,
-                mispredicted: false,
-            };
-        }
-        self.color_calibrator
-            .observe(kind, vertices, edges, list_size, secs);
-        let predicted = self.color_calibrator.choose(vertices, edges, list_size);
-        let mispredicted = predicted != kind;
-        self.color_calibrator.note_outcome(mispredicted);
-        ColoringVerdict {
-            chosen: kind,
-            predicted,
-            mispredicted,
-        }
-    }
-
     /// The lists plus the coloring scratch — the borrow of the Line-8/9
     /// sequential schemes (field split, same shape as
     /// [`IterationContext::lists_and_scratch`]).
@@ -450,8 +319,8 @@ impl IterationContext {
 
     /// Overrides the packing policy. Takes effect from the next
     /// iteration's (or the next backend's first) engine borrow; the
-    /// policy is a pure function of the context, so every backend of an
-    /// iteration sees one consistent decision.
+    /// decision is a pure function of the policy and the current lists,
+    /// so every backend of an iteration sees one consistent decision.
     pub fn set_packing(&mut self, mode: PackingMode) {
         self.packing = mode;
         self.packed_valid = false;
@@ -476,29 +345,6 @@ impl IterationContext {
             self.lists.bucket_index_into(&mut self.index);
             self.index_valid = true;
             self.index_builds += 1;
-        }
-    }
-
-    /// The single packing-decision site (the forecast's `will_pack` and
-    /// the build's `ensure_packed` used to duplicate this match): a pure
-    /// function of the context, the policy, and the oracle's packed word
-    /// width (`None` = no packed form). `Auto` consults the calibrated
-    /// crossover model ([`PackCalibrator::should_pack`]).
-    fn packing_decision(&self, packed_words: Option<usize>) -> bool {
-        let Some(words) = packed_words else {
-            return false;
-        };
-        if !self.bucketed {
-            return false;
-        }
-        match self.packing {
-            PackingMode::Never => false,
-            PackingMode::Always => true,
-            PackingMode::Auto => self.calibrator.should_pack(
-                self.load.total_pairs,
-                self.lists.len() * self.lists.list_size(),
-                words,
-            ),
         }
     }
 
@@ -530,7 +376,7 @@ impl IterationContext {
         }
         self.packed_valid = true;
         self.packed_active = false;
-        if !self.packing_decision(oracle.packed_form().map(|f| f.words.max(1))) {
+        if !self.will_pack(oracle.packed_form().map(|f| f.words.max(1))) {
             return;
         }
         self.ensure_index();
@@ -567,8 +413,8 @@ impl IterationContext {
     /// [`IterationContext::engine_and_scratch`] plus this iteration's
     /// packed oracle replica (built on first use, `None` when packing
     /// was skipped — all-pairs engine, unpackable oracle, `Never`
-    /// policy, or an `Auto` decision that the `O(N·L)` packing pass
-    /// would not amortize). The borrow every packed-capable conflict
+    /// policy, or an `Auto` load too small for the `O(N·L)` packing
+    /// pass to amortize). The borrow every packed-capable conflict
     /// builder starts from.
     ///
     /// **Contract:** the replica is cached for the whole iteration, so
@@ -775,12 +621,18 @@ impl IterationContext {
 
     /// Whether this iteration's builds will take the packed path, given
     /// an oracle whose packed word width is `packed_words` (`None` = no
-    /// packed form). The forecast's twin of
-    /// [`IterationContext::ensure_packed`]: a pure function of the
-    /// context and the width, evaluated without building anything, so
-    /// the strict gate predicts exactly the path the build will choose.
+    /// packed form): [`PackingMode::packs`] over the current lists'
+    /// engine choice, bucket-pair load and key rows. The single
+    /// decision site shared by [`IterationContext::ensure_packed`] and
+    /// the device forecasts, evaluated without building anything, so the
+    /// strict gate predicts exactly the path the build will choose.
     fn will_pack(&self, packed_words: Option<usize>) -> bool {
-        self.packing_decision(packed_words)
+        self.packing.packs(
+            self.bucketed,
+            packed_words,
+            self.load.total_pairs,
+            self.lists.len() * self.lists.list_size(),
+        )
     }
 
     /// Bytes of the device input replica this iteration will charge: the
@@ -912,7 +764,7 @@ mod tests {
         // and the O(N·L) packing pass cannot amortize.
         ctx.set_lists(ColorLists::assign(40, 0, 600, 2, 7, 1));
         assert!(ctx.prefers_buckets());
-        assert!(!PackCalibrator::default().should_pack(ctx.bucket_load().total_pairs, 40 * 2, 1));
+        assert!(ctx.bucket_load().total_pairs < 40 * 2);
         let (_, packed, _) = ctx.engine_packed_scratch(&oracle);
         assert!(packed.is_none(), "Auto must skip the degenerate load");
         assert_eq!(ctx.pack_builds(), 0);

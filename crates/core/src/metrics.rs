@@ -50,12 +50,6 @@ pub fn record_result(registry: &Registry, result: &PicassoResult) {
     registry
         .counter("solver_repair_conflicts_total")
         .add(result.total_repair_conflicts());
-    registry
-        .counter("solver_packing_mispredicts_total")
-        .add(result.packing_mispredicts() as u64);
-    registry
-        .counter("solver_scheme_mispredicts_total")
-        .add(result.scheme_mispredicts() as u64);
 
     let assign = registry.histogram("solver_assign_ns");
     let conflict = registry.histogram("solver_conflict_ns");

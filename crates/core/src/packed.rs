@@ -35,10 +35,9 @@
 //! arena owned by the [`IterationContext`](crate::IterationContext)
 //! (the `pack_builds` counter pins the contract), and is **skipped**
 //! when the engine falls back to all-pairs, when the oracle has no
-//! packed form, or — in [`PackingMode::Auto`] — when the
-//! [`PackCalibrator`]'s measured scalar-vs-packed crossover says the
-//! `O(N·L·w)` packing pass would not amortize over the iteration's
-//! bucket-pair load.
+//! packed form, or — in [`PackingMode::Auto`] — when the iteration's
+//! bucket-pair load is too small for the `O(N·L·w)` packing pass to
+//! amortize ([`PackingMode::packs`]).
 
 use crate::assign::{BucketIndex, ColorLists};
 use graph::EdgeOracle;
@@ -48,8 +47,9 @@ use rayon::prelude::*;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PackingMode {
     /// Pack whenever the engine is bucketed, the oracle has a packed
-    /// form, and the [`PackCalibrator`]'s crossover model predicts the
-    /// packed pipeline is cheaper end to end — the default.
+    /// form, and the iteration's bucket-pair load clears
+    /// [`AUTO_PACK_PAIRS_PER_ROW_WORD`] pairs per key-row word — the
+    /// default.
     #[default]
     Auto,
     /// Pack whenever the engine is bucketed and the oracle has a packed
@@ -60,13 +60,51 @@ pub enum PackingMode {
     Never,
 }
 
+/// [`PackingMode::Auto`] packs once an iteration examines at least this
+/// many candidate pairs per key-row word of the replica. Packing writes
+/// `rows · words` key words (≈3.5 ns each on the `oracle_batch` bench)
+/// and then saves ≈4 ns per examined pair against the scalar block
+/// path, so the break-even sits near one pair per row word.
+pub const AUTO_PACK_PAIRS_PER_ROW_WORD: u64 = 1;
+
+impl PackingMode {
+    /// The packing rule: whether an iteration builds and scans the
+    /// packed replica, as a pure function of the iteration's own
+    /// counts — whether the engine is `bucketed`, the oracle's packed
+    /// word width (`None` = no packed form), the bucket-pair load
+    /// `total_pairs`, and the flat key `rows` (`N·L`). No timing or
+    /// history enters it, so the build, the device forecast, and any
+    /// context (cold or reused) take the same decision.
+    pub fn packs(
+        self,
+        bucketed: bool,
+        packed_words: Option<usize>,
+        total_pairs: u64,
+        rows: usize,
+    ) -> bool {
+        let Some(words) = packed_words else {
+            return false;
+        };
+        if !bucketed {
+            return false;
+        }
+        match self {
+            PackingMode::Never => false,
+            PackingMode::Always => true,
+            PackingMode::Auto => {
+                let row_words = rows as u64 * words.max(1) as u64;
+                total_pairs > 0 && total_pairs >= AUTO_PACK_PAIRS_PER_ROW_WORD * row_words
+            }
+        }
+    }
+}
+
 /// Counters of one mask-kernel consumer pass: how many hit-mask words
 /// were scanned, how many of them were skipped as all-zero, and how
 /// many set bits (oracle hits, pre-deduplication) were walked. The
 /// builders aggregate these across tasks into
 /// [`ConflictBuild`](crate::ConflictBuild) and the solver surfaces them
-/// per iteration — the lane-occupancy signal the [`PackCalibrator`]
-/// feeds on.
+/// per iteration as the lane-occupancy signal.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaskScanStats {
     /// Set bits walked (oracle hits before smallest-shared-color dedup).
@@ -85,213 +123,6 @@ impl MaskScanStats {
         self.scanned_words += other.scanned_words;
         self.skipped_words += other.skipped_words;
     }
-}
-
-/// Density classes of the calibrator's crossover model, keyed by the
-/// fraction of examined lanes that are oracle hits: sparse (< 2%), mid
-/// (2–20%), dense (> 20%).
-const DENSITY_CLASSES: usize = 3;
-/// Word-width classes: `w == 1`, `2..=4`, wider.
-const WORD_CLASSES: usize = 3;
-
-#[inline]
-fn word_class(words: usize) -> usize {
-    match words {
-        0 | 1 => 0,
-        2..=4 => 1,
-        _ => 2,
-    }
-}
-
-#[inline]
-fn density_class(density: f64) -> usize {
-    if density < 0.02 {
-        0
-    } else if density <= 0.20 {
-        1
-    } else {
-        2
-    }
-}
-
-/// Seed cost model, ns per examined candidate pair on the **scalar**
-/// block path (sorted-merge dedup + batched `has_edge_block_scratch`),
-/// measured by the `oracle_batch` bench group (`cargo bench -p bench`)
-/// at n=2048. Rows: word class (1 / 2–4 / >4); columns: density class.
-/// The scalar path dedups before the oracle, so its per-pair cost is
-/// nearly density-flat.
-const SEED_SCALAR_NS: [[f64; DENSITY_CLASSES]; WORD_CLASSES] =
-    [[6.0, 6.0, 6.5], [7.5, 7.5, 8.0], [10.0, 10.0, 11.0]];
-
-/// Seed cost model, ns per examined lane of the **packed** pipeline
-/// (mask kernel + zero-word-skipping consumer + on-hit dedup), same
-/// bench. Density-sensitive: the consumer only pays for set bits.
-const SEED_PACKED_NS: [[f64; DENSITY_CLASSES]; WORD_CLASSES] =
-    [[0.8, 1.4, 2.5], [1.6, 2.2, 3.5], [2.8, 3.5, 5.0]];
-
-/// Seed cost of the packing pass itself, ns per key-row word written
-/// (scatter + query table + palette bitmasks folded in).
-const SEED_PACK_NS_PER_ROW_WORD: f64 = 3.5;
-
-/// EWMA weight of a fresh observation against the running estimate.
-const CALIBRATION_ALPHA: f64 = 0.3;
-
-/// Measured rates are clamped to this factor around their seed so one
-/// noisy tiny-iteration timing cannot wedge the crossover.
-const CALIBRATION_CLAMP: f64 = 8.0;
-
-/// Runtime scalar-vs-packed crossover model for [`PackingMode::Auto`].
-///
-/// Seeded from the `oracle_batch` bench and refined online: after every
-/// conflict build the solver feeds the measured wall time, the examined
-/// pair count, and the mask kernel's hit-bit count back in
-/// ([`IterationContext::record_packing`](crate::IterationContext::record_packing)),
-/// updating an EWMA per (word class × density class) cell. The decision
-/// itself ([`PackCalibrator::should_pack`]) is pure — the forecast twin
-/// [`IterationContext::will_pack`](crate::IterationContext::will_pack)
-/// and the build call it with identical state inside one iteration, so
-/// strict device-memory forecasts stay exact.
-///
-/// The seeds are chosen so the *uncalibrated* crossover sits near the
-/// historical `total_pairs ≥ num_rows` heuristic for one-word forms
-/// (gain ≈ 4 ns/pair vs ≈ 3.5 ns/row-word of packing), and scales the
-/// packing charge with `w` where the old heuristic did not.
-#[derive(Clone, Debug)]
-pub struct PackCalibrator {
-    /// EWMA of observed hit density (hits / examined pairs).
-    density: f64,
-    /// Whether any observation has landed yet (prior density: 0.5).
-    observed: bool,
-    scalar_ns: [[f64; DENSITY_CLASSES]; WORD_CLASSES],
-    packed_ns: [[f64; DENSITY_CLASSES]; WORD_CLASSES],
-    pack_ns_per_row_word: f64,
-    decisions: u64,
-    mispredicts: u64,
-}
-
-impl Default for PackCalibrator {
-    fn default() -> PackCalibrator {
-        PackCalibrator {
-            density: 0.5,
-            observed: false,
-            scalar_ns: SEED_SCALAR_NS,
-            packed_ns: SEED_PACKED_NS,
-            pack_ns_per_row_word: SEED_PACK_NS_PER_ROW_WORD,
-            decisions: 0,
-            mispredicts: 0,
-        }
-    }
-}
-
-impl PackCalibrator {
-    /// A fresh calibrator holding only the bench-derived seeds.
-    pub fn new() -> PackCalibrator {
-        PackCalibrator::default()
-    }
-
-    /// Current hit-density estimate (EWMA of observations; 0.5 prior).
-    #[inline]
-    pub fn density(&self) -> f64 {
-        self.density
-    }
-
-    /// Whether packing is predicted to beat the scalar path for an
-    /// iteration examining `total_pairs` candidate lanes over
-    /// `num_rows` flat key rows of a `words`-word form: packed saves
-    /// `(scalar − packed) ns` per pair but pays the packing pass up
-    /// front. Pure — safe to call from forecasts and the build alike.
-    pub fn should_pack(&self, total_pairs: u64, num_rows: usize, words: usize) -> bool {
-        if total_pairs == 0 {
-            return false;
-        }
-        let wc = word_class(words);
-        let dc = density_class(self.density);
-        let gain = self.scalar_ns[wc][dc] - self.packed_ns[wc][dc];
-        if gain <= 0.0 {
-            return false;
-        }
-        let pack_cost = self.pack_ns_per_row_word * num_rows as f64 * words.max(1) as f64;
-        total_pairs as f64 * gain > pack_cost
-    }
-
-    /// Feeds back one **packed** build: `secs` of conflict-phase wall
-    /// time over `pairs` examined lanes of a `words`-word form, of
-    /// which `hit_bits` were oracle hits.
-    pub fn observe_packed(&mut self, pairs: u64, hit_bits: u64, words: usize, secs: f64) {
-        if pairs == 0 || !secs.is_finite() || secs <= 0.0 {
-            return;
-        }
-        let d = (hit_bits as f64 / pairs as f64).clamp(0.0, 1.0);
-        self.update_density(d);
-        let rate = secs * 1e9 / pairs as f64;
-        let cell = &mut self.packed_ns[word_class(words)][density_class(d)];
-        let seed = SEED_PACKED_NS[word_class(words)][density_class(d)];
-        let clamped = rate.clamp(seed / CALIBRATION_CLAMP, seed * CALIBRATION_CLAMP);
-        *cell = ewma(*cell, clamped);
-    }
-
-    /// Feeds back one **scalar** build over a packable oracle: `edges`
-    /// (post-dedup, a lower bound on hits) stands in for the density
-    /// signal the mask kernel would have produced.
-    pub fn observe_scalar(&mut self, pairs: u64, edges: u64, words: usize, secs: f64) {
-        if pairs == 0 || !secs.is_finite() || secs <= 0.0 {
-            return;
-        }
-        let d = (edges as f64 / pairs as f64).clamp(0.0, 1.0);
-        self.update_density(d);
-        let rate = secs * 1e9 / pairs as f64;
-        let cell = &mut self.scalar_ns[word_class(words)][density_class(d)];
-        let seed = SEED_SCALAR_NS[word_class(words)][density_class(d)];
-        let clamped = rate.clamp(seed / CALIBRATION_CLAMP, seed * CALIBRATION_CLAMP);
-        *cell = ewma(*cell, clamped);
-    }
-
-    /// Records a predicted-vs-chosen outcome (CLI mispredict counter).
-    pub fn note_outcome(&mut self, mispredicted: bool) {
-        self.decisions += 1;
-        self.mispredicts += u64::from(mispredicted);
-    }
-
-    /// Auto decisions recorded so far.
-    #[inline]
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Of those, how many the post-build model would have made
-    /// differently.
-    #[inline]
-    pub fn mispredicts(&self) -> u64 {
-        self.mispredicts
-    }
-
-    fn update_density(&mut self, d: f64) {
-        if self.observed {
-            self.density = ewma(self.density, d);
-        } else {
-            self.density = d;
-            self.observed = true;
-        }
-    }
-}
-
-#[inline]
-fn ewma(old: f64, new: f64) -> f64 {
-    old + CALIBRATION_ALPHA * (new - old)
-}
-
-/// What [`IterationContext::record_packing`](crate::IterationContext::record_packing)
-/// concluded about one conflict build.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PackingVerdict {
-    /// The mode the build actually ran (`true` = packed kernel).
-    pub chosen: bool,
-    /// The calibrator's retrospective recommendation, re-evaluated with
-    /// the density this very build observed.
-    pub predicted: bool,
-    /// `chosen != predicted` — the observation moved the crossover to
-    /// the other side of this iteration's load.
-    pub mispredicted: bool,
 }
 
 /// The packed, bucket-major oracle replica of one iteration (see the
@@ -992,48 +823,24 @@ mod tests {
     }
 
     #[test]
-    fn calibrator_seeds_sit_near_the_historical_crossover() {
-        let cal = PackCalibrator::default();
-        // One-word forms: the uncalibrated crossover is within ~15% of
-        // the old `total_pairs >= num_rows` rule.
-        assert!(cal.should_pack(1_000, 100, 1));
-        assert!(cal.should_pack(100, 100, 1));
-        assert!(!cal.should_pack(20, 100, 1));
-        assert!(!cal.should_pack(0, 100, 1));
-        // Degenerate palettes (tiny pair loads over many rows) skip.
-        assert!(!cal.should_pack(10, 1_200, 1));
+    fn auto_packing_rule_is_a_pure_function_of_the_counts() {
+        let auto = PackingMode::Auto;
+        // One-word forms pack from one pair per key row.
+        assert!(auto.packs(true, Some(1), 1_000, 100));
+        assert!(auto.packs(true, Some(1), 100, 100));
+        assert!(!auto.packs(true, Some(1), 99, 100));
+        assert!(!auto.packs(true, Some(1), 0, 0));
         // Wider forms pay a w-scaled packing pass.
-        assert!(!cal.should_pack(100, 100, 6));
-        assert!(cal.should_pack(10_000, 100, 6));
-    }
-
-    #[test]
-    fn calibrator_observations_move_the_crossover_and_stay_clamped() {
-        let mut cal = PackCalibrator::default();
-        let before = cal.density();
-        // A very sparse packed iteration: density EWMA drops into the
-        // sparse class, where the packed gain is larger.
-        cal.observe_packed(100_000, 100, 1, 100_000.0 * 0.8e-9);
-        assert!(cal.density() < before);
-        assert!(
-            !PackCalibrator::default().should_pack(70, 100, 1),
-            "the dense prior skips this load"
-        );
-        assert!(cal.should_pack(70, 100, 1), "sparse class packs earlier");
-        // Absurd timings are clamped to 8x around the seed: even many
-        // pathological observations cannot push the rate to infinity.
-        for _ in 0..64 {
-            cal.observe_packed(1_000, 1, 1, 10.0);
+        assert!(!auto.packs(true, Some(6), 100, 100));
+        assert!(auto.packs(true, Some(6), 600, 100));
+        // No packed form or an all-pairs engine never packs, whatever
+        // the mode.
+        for mode in [PackingMode::Auto, PackingMode::Always, PackingMode::Never] {
+            assert!(!mode.packs(true, None, 1_000_000, 10));
+            assert!(!mode.packs(false, Some(1), 1_000_000, 10));
         }
-        let seeded = SEED_PACKED_NS[0][0];
-        assert!(cal.packed_ns[0][0] <= seeded * CALIBRATION_CLAMP + 1e-9);
-        // And the decision still flips once packing measures worse
-        // than scalar everywhere.
-        assert!(!cal.should_pack(1_000_000, 10, 1));
-        // Outcome counters accumulate.
-        cal.note_outcome(false);
-        cal.note_outcome(true);
-        assert_eq!((cal.decisions(), cal.mispredicts()), (2, 1));
+        assert!(PackingMode::Always.packs(true, Some(1), 0, 100));
+        assert!(!PackingMode::Never.packs(true, Some(1), 1_000_000, 10));
     }
 
     #[test]

@@ -136,26 +136,13 @@ pub struct IterationStats {
     pub skipped_words: u64,
     /// Hit-mask words the packed kernel produced this iteration.
     pub scanned_words: u64,
-    /// What the calibrated `Auto` model predicts for this iteration's
-    /// shape *after* absorbing its timing observation (see
-    /// [`IterationContext::record_packing`](crate::IterationContext::record_packing)).
-    pub packing_predicted: bool,
-    /// Whether the path actually chosen disagrees with
-    /// `packing_predicted` — a packing mispredict.
-    pub packing_mispredicted: bool,
     /// Vertices colored on Line 8 (no conflicts).
     pub colored_unconflicted: usize,
     /// Vertices colored by Algorithm 2 / the static scheme.
     pub colored_in_conflict: usize,
-    /// The Line-8/9 kernel that actually ran this iteration.
+    /// The Line-8/9 kernel that ran this iteration (fixed by the
+    /// configured [`ListColoringScheme`]).
     pub scheme_chosen: listcolor::SchemeKind,
-    /// What the calibrated `Auto` model picks for this iteration's shape
-    /// *after* absorbing its timing observation (see
-    /// [`IterationContext::record_coloring`](crate::IterationContext::record_coloring)).
-    pub scheme_predicted: listcolor::SchemeKind,
-    /// Whether the kernel actually run disagrees with `scheme_predicted`
-    /// — a scheme mispredict.
-    pub scheme_mispredicted: bool,
     /// Rounds the coloring kernel ran (1 for the sequential schemes).
     pub color_rounds: u32,
     /// Same-color speculation conflicts repaired (speculative kernel
@@ -252,14 +239,11 @@ impl PicassoResult {
         self.total_hit_bits() as f64 / lanes as f64
     }
 
-    /// Iterations whose chosen scalar/packed path disagreed with the
-    /// post-observation calibrated prediction (see
-    /// [`IterationStats::packing_mispredicted`]).
+    /// Always 0: packing is a fixed rule over the iteration's own counts
+    /// ([`crate::PackingMode::packs`]), so no decision is graded after the
+    /// fact. Kept because the benchmark's per-layer report reads it.
     pub fn packing_mispredicts(&self) -> usize {
-        self.iterations
-            .iter()
-            .filter(|s| s.packing_mispredicted)
-            .count()
+        0
     }
 
     /// Fraction of the solve's candidate enumeration that ran through
@@ -300,14 +284,10 @@ impl PicassoResult {
         self.iterations.iter().map(|s| s.repair_conflicts).sum()
     }
 
-    /// Iterations whose chosen coloring kernel disagreed with the
-    /// post-observation calibrated prediction (see
-    /// [`IterationStats::scheme_mispredicted`]).
+    /// Always 0: the configured scheme alone picks the coloring kernel.
+    /// Kept because the benchmark's per-layer report reads it.
     pub fn scheme_mispredicts(&self) -> usize {
-        self.iterations
-            .iter()
-            .filter(|s| s.scheme_mispredicted)
-            .count()
+        0
     }
 
     /// `C / |V| · 100` — the paper's *Color percentage* (shrinkage of
@@ -533,17 +513,6 @@ impl Picasso {
             };
             drop(build_span);
             let conflict_secs = t1.elapsed().as_secs_f64();
-            // Feed the measured build back into the Auto calibrator and
-            // grade the iteration's packing decision against the
-            // post-observation model.
-            let verdict = ctx.record_packing(
-                &build,
-                conflict_secs,
-                view.packed_form().map(|f| f.words.max(1)),
-            );
-            if verdict.mispredicted {
-                telemetry::event!("packing_mispredict", iter = iter);
-            }
             // Phase seam: a deadline passing during the build aborts
             // before any coloring work starts.
             if let Err(e) = deadline_hit(iter - 1) {
@@ -566,12 +535,6 @@ impl Picasso {
                     conflicted.push(local as u32);
                 }
             }
-            let kind = ctx.choose_scheme(
-                cfg.scheme,
-                conflicted.len(),
-                build.num_edges,
-                list_size as usize,
-            );
             let color_seed = cfg.seed ^ (iter as u64).wrapping_mul(0x9E3779B97F4A7C15);
             let chunks = rayon::current_num_threads();
             match cfg.scheme {
@@ -589,54 +552,39 @@ impl Picasso {
                         &mut outcome,
                     );
                 }
-                _ => match kind {
-                    listcolor::SchemeKind::Greedy => {
-                        let (lists, cs) = ctx.lists_and_color_scratch();
-                        listcolor::greedy_list_color_into(
-                            &gc,
-                            lists,
-                            &conflicted,
-                            color_seed,
-                            cs,
-                            &mut outcome,
-                        );
-                    }
-                    listcolor::SchemeKind::JonesPlassmann => listcolor::jp_list_color_into(
+                ListColoringScheme::DynamicGreedy => {
+                    let (lists, cs) = ctx.lists_and_color_scratch();
+                    listcolor::greedy_list_color_into(
                         &gc,
-                        ctx.lists(),
+                        lists,
                         &conflicted,
                         color_seed,
-                        chunks,
+                        cs,
                         &mut outcome,
-                    ),
-                    listcolor::SchemeKind::Speculative => listcolor::speculative_list_color_into(
-                        &gc,
-                        ctx.lists(),
-                        &conflicted,
-                        color_seed,
-                        chunks,
-                        &mut outcome,
-                    ),
-                    listcolor::SchemeKind::Static => unreachable!("Static is matched above"),
-                },
+                    );
+                }
+                ListColoringScheme::JonesPlassmann => listcolor::jp_list_color_into(
+                    &gc,
+                    ctx.lists(),
+                    &conflicted,
+                    color_seed,
+                    chunks,
+                    &mut outcome,
+                ),
+                ListColoringScheme::Speculative => listcolor::speculative_list_color_into(
+                    &gc,
+                    ctx.lists(),
+                    &conflicted,
+                    color_seed,
+                    chunks,
+                    &mut outcome,
+                ),
             }
             for &(v, c) in &outcome.assigned {
                 colors[live[v as usize] as usize] = c;
             }
             drop(color_span);
             let color_secs = t2.elapsed().as_secs_f64();
-            // Feed the measured coloring back into the Auto scheme
-            // calibrator and grade this iteration's kernel choice.
-            let cverdict = ctx.record_coloring(
-                kind,
-                conflicted.len(),
-                build.num_edges,
-                list_size as usize,
-                color_secs,
-            );
-            if cverdict.mispredicted {
-                telemetry::event!("scheme_mispredict", iter = iter);
-            }
             // The conflict graph is done for this round: hand its
             // storage back so the next iteration's CSR assembles into
             // the same arrays (the allocation-free Line 7 loop).
@@ -662,13 +610,9 @@ impl Picasso {
                 hit_bits: build.scan_stats.hit_bits,
                 skipped_words: build.scan_stats.skipped_words,
                 scanned_words: build.scan_stats.scanned_words,
-                packing_predicted: verdict.predicted,
-                packing_mispredicted: verdict.mispredicted,
                 colored_unconflicted,
                 colored_in_conflict: outcome.assigned.len(),
-                scheme_chosen: cverdict.chosen,
-                scheme_predicted: cverdict.predicted,
-                scheme_mispredicted: cverdict.mispredicted,
+                scheme_chosen: cfg.scheme.kind(),
                 color_rounds: outcome.rounds,
                 repair_conflicts: outcome.repair_conflicts,
                 uncolored_after: new_live.len(),
@@ -993,7 +937,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_stats_and_packing_verdicts_are_internally_consistent() {
+    fn scan_stats_are_internally_consistent() {
         let set = random_set(300, 10, 23);
         let r = Picasso::new(PicassoConfig::normal(4))
             .solve_pauli(&set)
@@ -1014,7 +958,6 @@ mod tests {
         // a real ratio.
         assert!(r.total_hit_bits() > 0);
         assert!(r.hit_density() > 0.0 && r.hit_density() <= 1.0);
-        assert!(r.packing_mispredicts() <= r.iterations.len());
         // A scalar-only solve reports empty scan stats.
         let never = Picasso::new(PicassoConfig::normal(4).with_backend(ConflictBackend::AllPairs))
             .solve_pauli(&set)
@@ -1246,7 +1189,6 @@ mod tests {
         for scheme in [
             ListColoringScheme::JonesPlassmann,
             ListColoringScheme::Speculative,
-            ListColoringScheme::Auto,
         ] {
             let cfg = PicassoConfig::normal(5).with_scheme(scheme);
             let result = Picasso::new(cfg).solve_pauli(&set).unwrap();

@@ -218,8 +218,8 @@ pub struct JobConfig {
     /// capacity failure the job re-solves down MultiDevice → Device →
     /// Parallel → Sequential with the identical coloring.
     pub backend: Option<String>,
-    /// List-coloring scheme override (`greedy`, `jp`, `spec`, `auto`, or
-    /// a static ordering: `natural`, `random`, `lf`, `sl`, `dlf`, `id`).
+    /// List-coloring scheme override (`greedy`, `jp`, `spec`, or a static
+    /// ordering: `natural`, `random`, `lf`, `sl`, `dlf`, `id`).
     pub coloring: Option<String>,
     /// Soft wall-clock budget for the job, measured from enqueue. The
     /// solver checks it cooperatively between phases; an expired job
@@ -801,12 +801,15 @@ mod tests {
         assert_eq!(back, req);
         // A different coloring scheme is a different solve.
         assert_ne!(req.instance_key(), sample_request().instance_key());
-        // Unknown schemes are rejected at parse time.
-        assert!(SolveRequest::from_json_line(
-            r#"{"id": "x", "workload": {"type": "synthetic_pauli", "n": 4, "qubits": 2},
-                "config": {"coloring": "rainbow"}}"#
-        )
-        .is_err());
+        // Unknown schemes are rejected at parse time; `auto` is not a
+        // scheme (no kernel is chosen from timings).
+        for scheme in ["rainbow", "auto"] {
+            let line = format!(
+                r#"{{"id": "x", "workload": {{"type": "synthetic_pauli", "n": 4, "qubits": 2}},
+                    "config": {{"coloring": "{scheme}"}}}}"#
+            );
+            assert!(SolveRequest::from_json_line(&line).is_err(), "{scheme}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! Spans are guard-style: `let _g = span!("conflict_build", iter = i);`
 //! measures from construction to drop. Events ([`event!`]) are
-//! zero-duration records (calibrator verdicts, mispredict marks).
+//! zero-duration records (degradation rungs, contained panics).
 
 use crate::sink::TelemetrySink;
 use parking_lot::RwLock;
@@ -240,7 +240,7 @@ macro_rules! span {
 /// Records a point event (a mark, not a duration).
 ///
 /// ```
-/// telemetry::event!("packing_mispredict", iter = 2u64);
+/// telemetry::event!("degrade_scalar", iter = 2u64);
 /// ```
 #[macro_export]
 macro_rules! event {

@@ -164,7 +164,7 @@ mod tests {
             SpanRecord {
                 is_event: true,
                 dur_ns: 0,
-                ..span("packing_mispredict", 0)
+                ..span("degrade_scalar", 0)
             },
         ]);
         let rows = summarize_jsonl(&text).unwrap();
@@ -173,10 +173,7 @@ mod tests {
         assert_eq!(rows[0].total_ns, 12_000);
         assert_eq!(rows[1].name, "assign");
         assert_eq!(rows[1].total_ns, 400);
-        let ev = rows
-            .iter()
-            .find(|r| r.name == "packing_mispredict")
-            .unwrap();
+        let ev = rows.iter().find(|r| r.name == "degrade_scalar").unwrap();
         assert!(ev.is_event);
         assert_eq!(ev.count, 1);
     }

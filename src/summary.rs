@@ -31,16 +31,10 @@ pub struct SolveSummary {
     pub hit_bits: u64,
     /// All-zero hit-mask words skipped whole by the packed consumer.
     pub skipped_words: u64,
-    /// Iterations whose packed/scalar choice the calibrator would have
-    /// made differently after observing the iteration.
-    pub packing_mispredicts: u64,
     /// Coloring-kernel rounds across all iterations.
     pub color_rounds: u64,
     /// Speculative-coloring conflicts repaired.
     pub repair_conflicts: u64,
-    /// Iterations whose coloring-kernel choice disagreed with the
-    /// post-observation prediction.
-    pub scheme_mispredicts: u64,
     /// Seconds spent in the coloring phase (Lines 8-9).
     pub color_secs: f64,
     /// End-to-end solve seconds.
@@ -60,10 +54,8 @@ impl SolveSummary {
             packed_lanes: counter("solver_packed_lanes_total"),
             hit_bits: counter("solver_hit_bits_total"),
             skipped_words: counter("solver_skipped_words_total"),
-            packing_mispredicts: counter("solver_packing_mispredicts_total"),
             color_rounds: counter("solver_color_rounds_total"),
             repair_conflicts: counter("solver_repair_conflicts_total"),
-            scheme_mispredicts: counter("solver_scheme_mispredicts_total"),
             color_secs: registry.histogram("solver_color_ns").sum() as f64 / 1e9,
             total_secs: registry.histogram("solver_total_ns").sum() as f64 / 1e9,
         }
@@ -91,12 +83,11 @@ impl SolveSummary {
     pub fn packing_footer(&self) -> String {
         format!(
             "pack builds: {} ({}% of candidate enumeration ran packed, {:.1}% hit density, \
-             {} mask words skipped whole, {} packing mispredicts)",
+             {} mask words skipped whole)",
             self.pack_builds,
             (100.0 * self.packed_lane_utilization()).round(),
             100.0 * self.hit_density(),
-            self.skipped_words,
-            self.packing_mispredicts
+            self.skipped_words
         )
     }
 
@@ -104,12 +95,8 @@ impl SolveSummary {
     /// [`picasso::ListColoringScheme`] label).
     pub fn coloring_footer(&self, scheme: &str) -> String {
         format!(
-            "coloring [{}]: {:.3}s across {} rounds, {} repair conflicts, {} scheme mispredicts",
-            scheme,
-            self.color_secs,
-            self.color_rounds,
-            self.repair_conflicts,
-            self.scheme_mispredicts
+            "coloring [{}]: {:.3}s across {} rounds, {} repair conflicts",
+            scheme, self.color_secs, self.color_rounds, self.repair_conflicts
         )
     }
 
@@ -139,11 +126,9 @@ impl SolveSummary {
             ("total_hit_bits", Value::from(self.hit_bits)),
             ("total_skipped_words", Value::from(self.skipped_words)),
             ("hit_density", Value::from(self.hit_density())),
-            ("packing_mispredicts", Value::from(self.packing_mispredicts)),
             ("color_secs", Value::from(self.color_secs)),
             ("total_color_rounds", Value::from(self.color_rounds)),
             ("total_repair_conflicts", Value::from(self.repair_conflicts)),
-            ("scheme_mispredicts", Value::from(self.scheme_mispredicts)),
             ("total_secs", Value::from(self.total_secs)),
         ];
         for (key, value) in fields {
@@ -194,9 +179,9 @@ mod tests {
         let s = SolveSummary::from_registry(&registry);
         let packing = s.packing_footer();
         assert!(packing.starts_with(&format!("pack builds: {}", result.pack_builds)));
-        assert!(packing.contains("packing mispredicts"));
-        let coloring = s.coloring_footer("auto");
-        assert!(coloring.starts_with("coloring [auto]:"));
+        assert!(packing.contains("hit density"));
+        let coloring = s.coloring_footer("greedy");
+        assert!(coloring.starts_with("coloring [greedy]:"));
         assert!(coloring.contains(&format!("{} rounds", result.total_color_rounds())));
         let headline = s.headline(150, result.num_colors as usize, result.color_percentage());
         assert!(headline.contains(&format!("in {} iterations", result.iterations.len())));

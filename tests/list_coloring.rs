@@ -169,27 +169,3 @@ proptest! {
         }
     }
 }
-
-/// Non-property pin: the solver's Auto scheme matches one of the fixed
-/// kernels' validity guarantees and never worsens the small-instance
-/// path (tiny instances sit below the calibrator's parallel floor, so
-/// Auto must reproduce DynamicGreedy's coloring bit for bit).
-#[test]
-fn auto_scheme_on_small_instances_matches_greedy_exactly() {
-    for seed in 0..4u64 {
-        let oracle = PackedWordOracle::with_edge_density(80, 1, 0.3, seed);
-        let greedy = Picasso::new(PicassoConfig::normal(seed))
-            .solve_oracle(&oracle)
-            .unwrap();
-        let auto = Picasso::new(PicassoConfig::normal(seed).with_scheme(ListColoringScheme::Auto))
-            .solve_oracle(&oracle)
-            .unwrap();
-        assert_eq!(
-            auto.colors, greedy.colors,
-            "below the parallel floor Auto must be greedy (seed {seed})"
-        );
-        for s in &auto.iterations {
-            assert_eq!(s.scheme_chosen, picasso::SchemeKind::Greedy);
-        }
-    }
-}
